@@ -1,10 +1,11 @@
 //! Engine-mode benches: fixed-tick vs. event (coalescing) wall time on the
 //! two workload classes that bracket the survey.
 //!
-//! - A Table V-class steady-state run: one spinning core at a fixed
-//!   sub-TDP setting, multi-second measurement window (the shape of the
-//!   Table III/V and stress campaigns that dominate survey wall time).
-//!   Here the event engine can prove quiescence and coalesce.
+//! - A single-core sub-TDP steady run: one spinning core at a fixed
+//!   2.0 GHz setting, multi-second measurement window (the shape of the
+//!   Table III single-core campaigns). Far below TDP, the event engine can
+//!   prove quiescence and coalesce. This is *not* a Table V cell: those
+//!   load every core and sit on the TDP limiter, where it never coalesces.
 //! - A Figures 5/6-class latency run: a near-idle node with periodic
 //!   wake activity at fine resolution, where coalescing also applies
 //!   between events.
@@ -22,8 +23,8 @@ use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_node::{EngineMode, Node, Platform, Resolution};
 
-/// Table V-class steady state: one spinning core, fixed 2.0 GHz, the rest
-/// of the node idle. Multi-second window.
+/// Single-core sub-TDP steady state: one spinning core, fixed 2.0 GHz, the
+/// rest of the node idle. Multi-second window.
 fn steady_node(engine: EngineMode) -> Node {
     let mut node = Platform::paper()
         .with_engine(engine)
@@ -75,9 +76,9 @@ fn engine_ratios(c: &mut Criterion) {
             let (event_idle, y) = wall_s(|| run_idle_fine(EngineMode::Event, 1.0));
             assert_eq!(x.to_bits(), y.to_bits(), "engines diverged (idle)");
             format!(
-                "Table V-class steady 4 s:  fixed {fixed_steady:.2} s, event {event_steady:.2} s \
+                "single-core sub-TDP steady 4 s: fixed {fixed_steady:.2} s, event {event_steady:.2} s \
              -> {:.1}x\n\
-             Fig 5/6-class idle 1 s:    fixed {fixed_idle:.2} s, event {event_idle:.2} s \
+             Fig 5/6-class idle 1 s:          fixed {fixed_idle:.2} s, event {event_idle:.2} s \
              -> {:.1}x",
                 fixed_steady / event_steady.max(1e-9),
                 fixed_idle / event_idle.max(1e-9),

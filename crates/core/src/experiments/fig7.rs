@@ -143,26 +143,22 @@ pub fn run() -> Fig7 {
 }
 
 /// Like [`run`] but fanning the generation × panel grid through the
-/// warm-start sweep executor, sharing the resolved SKU table across all
-/// points. The bandwidth model is analytic, so the derived point seeds are
-/// not consumed and the result is identical to the serial [`run`] in
-/// either warm-start mode.
+/// sweep executor over one resolved SKU table. The bandwidth model is
+/// analytic, so the derived point seeds are not consumed and the result is
+/// identical to the serial [`run`].
 fn run_ctx(ctx: &crate::survey::RunCtx) -> Fig7 {
     let jobs: Vec<(CpuGeneration, bool)> = GENERATIONS
         .iter()
         .flat_map(|g| [true, false].into_iter().map(move |l3| (*g, l3)))
         .collect();
-    let all = ctx.sweep_warm_shared(
-        &jobs,
-        || -> Vec<SkuSpec> { GENERATIONS.iter().map(|g| sku_for(*g)).collect() },
-        |skus, &(g, l3), _seed| {
-            let idx = GENERATIONS
-                .iter()
-                .position(|x| *x == g)
-                .expect("generation");
-            series_with_sku(&skus[idx], g, l3)
-        },
-    );
+    let skus: Vec<SkuSpec> = GENERATIONS.iter().map(|g| sku_for(*g)).collect();
+    let all = ctx.sweep(&jobs, |&(g, l3), _seed| {
+        let idx = GENERATIONS
+            .iter()
+            .position(|x| *x == g)
+            .expect("generation");
+        series_with_sku(&skus[idx], g, l3)
+    });
     let (mut l3, mut dram) = (Vec::new(), Vec::new());
     for (&(_, is_l3), s) in jobs.iter().zip(all) {
         if is_l3 {

@@ -142,23 +142,12 @@ pub fn run() -> Fig8 {
 }
 
 /// Like [`run`] but fanning one sweep point per frequency row through the
-/// warm-start sweep executor, sharing the resolved SKU and thread-count
-/// axis across rows. The model is analytic, so the derived point seeds are
-/// not consumed and the result is identical to the serial [`run`] in
-/// either warm-start mode.
+/// sweep executor. The model is analytic, so the derived point seeds are
+/// not consumed and the result is identical to the serial [`run`].
 fn run_ctx(ctx: &crate::survey::RunCtx) -> Fig8 {
     let sku = SkuSpec::xeon_e5_2680_v3();
     let (thread_counts, freqs_ghz) = grid(&sku);
-    let rows = ctx.sweep_warm_shared(
-        &freqs_ghz,
-        || {
-            (
-                SkuSpec::xeon_e5_2680_v3(),
-                grid(&SkuSpec::xeon_e5_2680_v3()).0,
-            )
-        },
-        |(sku, threads), &freq, _seed| row(&sku, freq, &threads),
-    );
+    let rows = ctx.sweep(&freqs_ghz, |&freq, _seed| row(&sku, freq, &thread_counts));
     Fig8 {
         cells: rows.into_iter().flatten().collect(),
         freqs_ghz,

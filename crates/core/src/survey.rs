@@ -395,42 +395,6 @@ impl RunCtx {
         }
     }
 
-    /// Warm-start sweep for analytic experiments: amortize a deterministic
-    /// shared precomputation instead of a simulated settle. `prep` builds
-    /// the shared value — once under warm start, per point under cold — and
-    /// `point` consumes a clone of it. Because `prep` takes no seed and is
-    /// deterministic, results are mode-independent by construction.
-    pub fn sweep_warm_shared<S, P, R, W, F>(&self, points: &[P], prep: W, point: F) -> Vec<R>
-    where
-        S: Clone + Send + Sync,
-        P: Sync,
-        R: Send,
-        W: Fn() -> S + Send + Sync,
-        F: Fn(S, &P, u64) -> R + Send + Sync,
-    {
-        self.points
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        if self.warm_start {
-            if points.is_empty() {
-                return Vec::new();
-            }
-            self.reuses
-                .fetch_add(points.len() as u64, Ordering::Relaxed);
-            let shared = prep();
-            points
-                .par_iter()
-                .enumerate()
-                .map(|(k, p)| point(shared.clone(), p, mix_seed(self.seed, k as u64)))
-                .collect()
-        } else {
-            points
-                .par_iter()
-                .enumerate()
-                .map(|(k, p)| point(prep(), p, mix_seed(self.seed, k as u64)))
-                .collect()
-        }
-    }
-
     /// Surrogate sweep: answer every point from the closed form, then
     /// re-run a deterministic [`SPOTCHECK_K`]-point sample through the full
     /// simulator's warm path and attach those answers for divergence

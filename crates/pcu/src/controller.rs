@@ -17,7 +17,7 @@
 
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::{EpbClass, PState, SkuSpec};
-use hsw_power::{package_power_w, CoreElecState};
+use hsw_power::{uniform_package_power_w, CoreElecState};
 
 use crate::ufs::{self, UfsInputs};
 
@@ -103,42 +103,59 @@ impl PcuController {
         ceiling.max(spec.freq.min_mhz)
     }
 
-    /// Package power at a candidate operating point. Hot: the bisections
-    /// call this dozens of times per solve and the event engine's
-    /// quiescence proof once per full tick — the candidate core set lives
-    /// on the stack so the solver never touches the allocator.
+    /// Package power at a candidate operating point: the active cores at
+    /// `core_mhz`, the gated idle cores in C6 and the rest halted at the
+    /// minimum p-state. Hot — the bisections call this dozens of times per
+    /// solve and the event engine's quiescence proof once per full tick —
+    /// so it prices each core class once instead of building a core array.
     fn power_at(inputs: &PcuInputs<'_>, core_mhz: f64, uncore_mhz: f64) -> f64 {
-        const MAX_CORES: usize = 64;
         let spec = inputs.spec;
-        assert!(spec.cores <= MAX_CORES, "SKU exceeds solver core bound");
-        let mut cores = [CoreElecState::gated(); MAX_CORES];
         let active = inputs.active_cores.min(spec.cores);
         let idle = spec.cores.saturating_sub(inputs.active_cores);
         let gated = inputs.gated_idle_cores.min(idle);
-        for c in cores.iter_mut().take(active) {
-            *c = CoreElecState {
-                mhz: core_mhz.round() as u32,
-                activity: inputs.activity,
-                license_level: inputs.avx_level,
-                power_gated: false,
-            };
-        }
-        // [active, active + gated) stays gated; the rest idles ungated.
-        for c in cores.iter_mut().take(spec.cores).skip(active + gated) {
-            *c = CoreElecState {
-                mhz: spec.freq.min_mhz,
-                activity: 0.0,
-                license_level: 0,
-                power_gated: false,
-            };
-        }
-        package_power_w(
+        let busy = CoreElecState {
+            mhz: core_mhz.round() as u32,
+            activity: inputs.activity,
+            license_level: inputs.avx_level,
+            power_gated: false,
+        };
+        uniform_package_power_w(
             spec,
             inputs.socket_power_mult,
-            &cores[..spec.cores],
+            &busy,
+            active,
+            spec.cores - active - gated,
             uncore_mhz.round() as u32,
         )
         .total_w()
+    }
+
+    /// The two-level RAPL limiter's budget window `[0.9·TDP, PL2·TDP]` (W).
+    pub fn budget_window_w(spec: &SkuSpec) -> (f64, f64) {
+        (
+            spec.tdp_w * 0.9,
+            spec.tdp_w * hsw_hwspec::calib::PL2_TDP_MULT,
+        )
+    }
+
+    /// EPB bias of the power budget: under a percent (Table V shows sub-1 %
+    /// frequency differences across EPB settings).
+    pub fn epb_budget_factor(epb: EpbClass) -> f64 {
+        match epb {
+            EpbClass::Performance => 1.005,
+            EpbClass::Balanced => 1.0,
+            EpbClass::EnergySaving => 0.995,
+        }
+    }
+
+    /// Instantaneous package power budget (W). Two-level RAPL: the limiter
+    /// holds the *running average* at PL1 by granting up to `2·PL1 − avg`
+    /// (so bursts ride at PL2 while the average is low, and steady state
+    /// converges to exactly PL1), clamped to [`PcuController::budget_window_w`]
+    /// and biased by [`PcuController::epb_budget_factor`].
+    pub fn budget_w(spec: &SkuSpec, epb: EpbClass, avg_pkg_w: f64) -> f64 {
+        let (lo, hi) = Self::budget_window_w(spec);
+        (2.0 * spec.tdp_w - avg_pkg_w).clamp(lo, hi) * Self::epb_budget_factor(epb)
     }
 
     /// UFS target keyed by the actual core frequency (mapped onto the
@@ -229,9 +246,10 @@ impl PcuController {
             return true;
         }
         let spec = inputs.spec;
-        // Smallest possible budget: pl_base clamped at 0.9·TDP, scaled by
-        // the most frugal EPB factor.
-        let min_budget = spec.tdp_w * 0.9 * 0.995;
+        // Smallest possible budget: the bottom of the window, scaled by the
+        // most frugal EPB factor.
+        let min_budget =
+            Self::budget_window_w(spec).0 * Self::epb_budget_factor(EpbClass::EnergySaving);
         let ceiling = Self::core_ceiling_mhz(inputs) as f64;
         Self::power_at(inputs, ceiling, spec.freq.uncore_max_mhz as f64) <= min_budget
     }
@@ -263,22 +281,7 @@ impl PcuController {
         }
 
         let ceiling = Self::core_ceiling_mhz(inputs) as f64;
-        // Two-level RAPL: the limiter holds the *running average* at PL1 by
-        // granting instantaneous power of up to `2·PL1 − avg` (so bursts ride
-        // at PL2 while the average is low, and steady state converges to
-        // exactly PL1), capped by the short-term PL2 limit. EPB further
-        // biases the budget by under a percent (Table V shows sub-1 %
-        // frequency differences across EPB settings).
-        let pl_base = (2.0 * spec.tdp_w - inputs.avg_pkg_w).clamp(
-            spec.tdp_w * 0.9,
-            spec.tdp_w * hsw_hwspec::calib::PL2_TDP_MULT,
-        );
-        let budget = pl_base
-            * match inputs.epb {
-                EpbClass::Performance => 1.005,
-                EpbClass::Balanced => 1.0,
-                EpbClass::EnergySaving => 0.995,
-            };
+        let budget = Self::budget_w(spec, inputs.epb, inputs.avg_pkg_w);
 
         // Self-consistent iteration: the UFS target follows the actual core
         // frequency, which follows the power left by the uncore. Damped to
@@ -549,6 +552,22 @@ mod tests {
         inputs.turbo_enabled = false;
         inputs.avx_level = 0;
         assert_eq!(PcuController::core_ceiling_mhz(&inputs), spec.freq.base_mhz);
+    }
+
+    #[test]
+    fn out_of_range_core_counts_are_clamped_not_fatal() {
+        // More active cores than the SKU has, and more gated cores than
+        // are idle: the solve clamps both to the package and still grants.
+        for spec in [sku(), SkuSpec::xeon_platinum_8170()] {
+            for (active, gated) in [(spec.cores + 3, 5), (2, spec.cores), (0, spec.cores + 9)] {
+                let mut inputs = firestarter_inputs(&spec, FreqSetting::Turbo);
+                inputs.active_cores = active;
+                inputs.gated_idle_cores = gated;
+                let g = PcuController::solve(&inputs);
+                assert!(g.power_w.is_finite() && g.power_w > 0.0, "{g:?}");
+                assert!(g.core_mhz >= spec.freq.min_mhz as f64, "{g:?}");
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,44 @@ impl PackagePower {
     }
 }
 
+/// One ungated core's (leakage, dynamic) power before the socket
+/// multiplier; `None` for a power-gated core.
+fn core_terms(spec: &SkuSpec, core: &CoreElecState) -> Option<(f64, f64)> {
+    if core.power_gated {
+        return None;
+    }
+    let c = &spec.power;
+    let v = spec.core_vf.voltage_at(core.mhz.max(spec.freq.min_mhz));
+    let avx = match core.license_level {
+        0 => 1.0,
+        1 => c.avx_power_mult,
+        _ => c.avx512_power_mult,
+    };
+    Some((
+        c.core_leak_w_per_v2 * v * v,
+        c.core_dyn_w_per_v2ghz * v * v * (core.mhz as f64 / 1000.0) * core.activity * avx,
+    ))
+}
+
+/// Apply the socket multiplier and add the base and uncore terms.
+fn package(
+    spec: &SkuSpec,
+    socket_mult: f64,
+    leak: f64,
+    dyn_w: f64,
+    uncore_mhz: u32,
+) -> PackagePower {
+    let c = &spec.power;
+    let vu = spec.uncore_vf.voltage_at(uncore_mhz);
+    let uncore_w = c.uncore_dyn_w_per_v2ghz * vu * vu * (uncore_mhz as f64 / 1000.0);
+    PackagePower {
+        base_w: c.pkg_base_w,
+        core_leakage_w: leak * socket_mult,
+        core_dynamic_w: dyn_w * socket_mult,
+        uncore_w: uncore_w * socket_mult,
+    }
+}
+
 /// Evaluate the package power model for one socket.
 ///
 /// `socket_mult` is the per-part efficiency variation (paper Section III:
@@ -61,30 +99,46 @@ pub fn package_power_w(
     cores: &[CoreElecState],
     uncore_mhz: u32,
 ) -> PackagePower {
-    let c = &spec.power;
-    let mut leak = 0.0;
-    let mut dyn_w = 0.0;
-    for core in cores {
-        if core.power_gated {
+    let (mut leak, mut dyn_w) = (0.0, 0.0);
+    for (l, d) in cores.iter().filter_map(|core| core_terms(spec, core)) {
+        leak += l;
+        dyn_w += d;
+    }
+    package(spec, socket_mult, leak, dyn_w, uncore_mhz)
+}
+
+/// [`package_power_w`] for the core array the PCU solves over: `active`
+/// copies of `busy`, then power-gated cores, then `idle_ungated` halted
+/// cores at the minimum p-state. Each class's terms are evaluated once and
+/// accumulated per core in that array order, so the result is bit-identical
+/// to the array form without building the array.
+pub fn uniform_package_power_w(
+    spec: &SkuSpec,
+    socket_mult: f64,
+    busy: &CoreElecState,
+    active: usize,
+    idle_ungated: usize,
+    uncore_mhz: u32,
+) -> PackagePower {
+    let halted = CoreElecState {
+        mhz: spec.freq.min_mhz,
+        activity: 0.0,
+        license_level: 0,
+        power_gated: false,
+    };
+    let (mut leak, mut dyn_w) = (0.0, 0.0);
+    for (core, n) in [(busy, active), (&halted, idle_ungated)] {
+        if n == 0 {
             continue;
         }
-        let v = spec.core_vf.voltage_at(core.mhz.max(spec.freq.min_mhz));
-        leak += c.core_leak_w_per_v2 * v * v;
-        let avx = match core.license_level {
-            0 => 1.0,
-            1 => c.avx_power_mult,
-            _ => c.avx512_power_mult,
-        };
-        dyn_w += c.core_dyn_w_per_v2ghz * v * v * (core.mhz as f64 / 1000.0) * core.activity * avx;
+        if let Some((l, d)) = core_terms(spec, core) {
+            for _ in 0..n {
+                leak += l;
+                dyn_w += d;
+            }
+        }
     }
-    let vu = spec.uncore_vf.voltage_at(uncore_mhz);
-    let uncore_w = c.uncore_dyn_w_per_v2ghz * vu * vu * (uncore_mhz as f64 / 1000.0);
-    PackagePower {
-        base_w: c.pkg_base_w,
-        core_leakage_w: leak * socket_mult,
-        core_dynamic_w: dyn_w * socket_mult,
-        uncore_w: uncore_w * socket_mult,
-    }
+    package(spec, socket_mult, leak, dyn_w, uncore_mhz)
 }
 
 /// DRAM power for one socket as a function of its memory traffic.
@@ -189,6 +243,85 @@ mod tests {
         assert!(gated.total_w() < active.total_w());
     }
 
+    /// The array form of the solver's core set: `active` copies of `busy`,
+    /// `gated` C6 cores, the rest halted at the minimum p-state.
+    fn solver_array(
+        spec: &SkuSpec,
+        busy: CoreElecState,
+        active: usize,
+        gated: usize,
+    ) -> Vec<CoreElecState> {
+        let halted = CoreElecState {
+            mhz: spec.freq.min_mhz,
+            activity: 0.0,
+            license_level: 0,
+            power_gated: false,
+        };
+        let mut cores = vec![halted; spec.cores];
+        cores[..active].fill(busy);
+        cores[active..active + gated].fill(CoreElecState::gated());
+        cores
+    }
+
+    /// `uniform_package_power_w` against `package_power_w` over the
+    /// expanded array, compared bit-for-bit component by component.
+    fn assert_uniform_matches_array(
+        spec: &SkuSpec,
+        mult: f64,
+        busy: CoreElecState,
+        active: usize,
+        gated: usize,
+        uncore_mhz: u32,
+    ) {
+        let idle_ungated = spec.cores - active - gated;
+        let array = package_power_w(
+            spec,
+            mult,
+            &solver_array(spec, busy, active, gated),
+            uncore_mhz,
+        );
+        let uniform = uniform_package_power_w(spec, mult, &busy, active, idle_ungated, uncore_mhz);
+        for (a, u) in [
+            (array.core_leakage_w, uniform.core_leakage_w),
+            (array.core_dynamic_w, uniform.core_dynamic_w),
+            (array.uncore_w, uniform.uncore_w),
+            (array.total_w(), uniform.total_w()),
+        ] {
+            assert_eq!(
+                a.to_bits(),
+                u.to_bits(),
+                "{} active={active} gated={gated} {busy:?} uncore={uncore_mhz}: {a} vs {u}",
+                spec.model
+            );
+        }
+    }
+
+    #[test]
+    fn uniform_power_is_bit_exact_vs_the_core_array() {
+        for spec in [SkuSpec::xeon_e5_2680_v3(), SkuSpec::xeon_platinum_8170()] {
+            for active in 0..=spec.cores {
+                let idle = spec.cores - active;
+                for gated in [0, idle / 2, idle] {
+                    for license_level in 0..=2 {
+                        for mhz in [spec.freq.min_mhz, 2147, spec.freq.base_mhz, 3300] {
+                            for uncore_mhz in [1200, 2434, spec.freq.uncore_max_mhz] {
+                                let busy = CoreElecState {
+                                    mhz,
+                                    activity: 0.93,
+                                    license_level,
+                                    power_gated: false,
+                                };
+                                assert_uniform_matches_array(
+                                    &spec, 1.012, busy, active, gated, uncore_mhz,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn dram_power_scales_with_bandwidth() {
         let spec = hsw();
@@ -217,6 +350,28 @@ mod tests {
             let lo = package_power_w(&spec, 1.0, &mk(act), 2000).total_w();
             let hi = package_power_w(&spec, 1.0, &mk((act + 0.1).min(1.0)), 2000).total_w();
             prop_assert!(hi >= lo);
+        }
+
+        #[test]
+        fn prop_uniform_power_is_bit_exact_vs_the_core_array(
+            skylake in any::<bool>(),
+            active_frac in 0.0f64..=1.0,
+            gated_frac in 0.0f64..=1.0,
+            license_level in 0u8..=2,
+            mhz in 800u32..=4000,
+            uncore_mhz in 1000u32..=3200,
+            activity in 0.0f64..=1.0,
+            mult in 0.9f64..=1.1,
+        ) {
+            let spec = if skylake {
+                SkuSpec::xeon_platinum_8170()
+            } else {
+                SkuSpec::xeon_e5_2680_v3()
+            };
+            let active = (active_frac * spec.cores as f64).round() as usize;
+            let gated = (gated_frac * (spec.cores - active) as f64).round() as usize;
+            let busy = CoreElecState { mhz, activity, license_level, power_gated: false };
+            assert_uniform_matches_array(&spec, mult, busy, active, gated, uncore_mhz);
         }
 
         #[test]
