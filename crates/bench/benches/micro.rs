@@ -34,6 +34,15 @@ fn bench_pcu_solve(c: &mut Criterion) {
     c.bench_function("micro_pcu_solve_tdp_limited", |b| {
         b.iter(|| black_box(PcuController::solve(black_box(&inputs))))
     });
+    // Table V's EPB=performance cells: under TDP pressure the solve drops
+    // the performance uncore pin and solves again with the balanced one.
+    let perf = PcuInputs {
+        epb: EpbClass::Performance,
+        ..inputs
+    };
+    c.bench_function("micro_pcu_solve_tdp_limited_perf_epb", |b| {
+        b.iter(|| black_box(PcuController::solve(black_box(&perf))))
+    });
 }
 
 fn bench_package_power(c: &mut Criterion) {

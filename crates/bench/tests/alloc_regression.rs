@@ -4,10 +4,10 @@
 //! the SoA core planes and the reusable `TickScratch` removed that, along
 //! with the per-tick duty/electrical/counter-rate vectors. This test pins
 //! the result: a settled, fully loaded node must advance with (almost) no
-//! allocator traffic. The only sanctioned residual is `PcuController::
-//! solve`, which builds one grant vector per 500 µs evaluation period —
-//! 0.04 allocs per 20 µs tick — so the bound below (0.2/tick) leaves 5x
-//! headroom without ever letting a per-tick clone (3+/tick) back in.
+//! allocator traffic. `PcuController::solve` allocates nothing (it prices
+//! core classes instead of building a core array, and its memos are stack
+//! arrays), so the bound below (0.2/tick) is headroom for rare bookkeeping
+//! that still fails on any per-tick clone (3+/tick).
 
 use hsw_bench::CountingAlloc;
 use hsw_exec::WorkloadProfile;
@@ -37,7 +37,7 @@ fn settled_tick_loop_is_allocation_free() {
     assert!(
         per_tick < 0.2,
         "settled tick loop allocated {allocs} times over {ticks} ticks \
-         ({per_tick:.3}/tick; bound 0.2/tick = PCU solve cadence with 5x headroom)"
+         ({per_tick:.3}/tick; bound 0.2/tick)"
     );
 }
 

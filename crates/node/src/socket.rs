@@ -884,7 +884,6 @@ impl Socket {
         } else {
             u32::MAX
         };
-        let _ = smt_any;
         let activity = if active > 0 {
             activity_sum / active as f64
         } else {

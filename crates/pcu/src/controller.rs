@@ -70,6 +70,13 @@ pub struct PcuGrant {
 #[derive(Debug, Clone, Default)]
 pub struct PcuController;
 
+#[cfg(test)]
+thread_local! {
+    /// [`PcuController::power_at`] calls on this thread, for the tests that
+    /// pin how many candidates a solve prices.
+    static POWER_EVALS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
 impl PcuController {
     /// The pre-power-limit core frequency ceiling in MHz.
     pub fn core_ceiling_mhz(inputs: &PcuInputs<'_>) -> u32 {
@@ -105,10 +112,14 @@ impl PcuController {
 
     /// Package power at a candidate operating point: the active cores at
     /// `core_mhz`, the gated idle cores in C6 and the rest halted at the
-    /// minimum p-state. Hot — the bisections call this dozens of times per
-    /// solve and the event engine's quiescence proof once per full tick —
-    /// so it prices each core class once instead of building a core array.
+    /// minimum p-state. It reads each frequency only as `mhz.round() as
+    /// u32`, which is what lets [`PcuController::solve`] memoize it: a
+    /// TDP-limited solve prices about 50 distinct candidates, and the
+    /// event engine's quiescence proof one per full tick. It prices each
+    /// core class once instead of building a core array.
     fn power_at(inputs: &PcuInputs<'_>, core_mhz: f64, uncore_mhz: f64) -> f64 {
+        #[cfg(test)]
+        POWER_EVALS.with(|n| n.set(n.get() + 1));
         let spec = inputs.spec;
         let active = inputs.active_cores.min(spec.cores);
         let idle = spec.cores.saturating_sub(inputs.active_cores);
@@ -183,45 +194,32 @@ impl PcuController {
         ) as f64
     }
 
-    /// Largest core frequency ≤ `ceiling` whose power with the given uncore
-    /// stays within budget.
-    fn max_core_within(
-        inputs: &PcuInputs<'_>,
-        ceiling_mhz: f64,
-        uncore_mhz: f64,
-        budget_w: f64,
-    ) -> f64 {
-        let floor = inputs.spec.freq.min_mhz as f64;
-        if Self::power_at(inputs, ceiling_mhz, uncore_mhz) <= budget_w {
-            return ceiling_mhz;
-        }
-        let (mut lo, mut hi) = (floor, ceiling_mhz);
-        for _ in 0..24 {
-            let mid = 0.5 * (lo + hi);
-            if Self::power_at(inputs, mid, uncore_mhz) <= budget_w {
-                lo = mid;
-            } else {
-                hi = mid;
+    /// Largest value in `[lo, hi]` that `fits`: `hi` itself when it fits,
+    /// else the low end of a 24-step bisection bracket. `fits` must read its
+    /// candidate only as `mhz.round() as u32` (as
+    /// [`PcuController::power_at`] does), so a 2-slot memo keyed by that
+    /// rounding answers repeated candidates: once the bracket is narrower
+    /// than 1 MHz, every later midpoint rounds to one of two integers.
+    /// Midpoints, comparisons and the iteration count are the plain
+    /// bisection's, so the result is bit-identical to it.
+    fn max_within(lo: f64, hi: f64, mut fits: impl FnMut(f64) -> bool) -> f64 {
+        let mut memo: [Option<(u32, bool)>; 2] = [None; 2];
+        let mut fits_rounded = |mhz: f64| {
+            let key = mhz.round() as u32;
+            if let Some(&(_, fit)) = memo.iter().flatten().find(|(k, _)| *k == key) {
+                return fit;
             }
+            let fit = fits(mhz);
+            memo = [Some((key, fit)), memo[0]];
+            fit
+        };
+        if fits_rounded(hi) {
+            return hi;
         }
-        lo
-    }
-
-    /// Largest uncore frequency in [`lo`, `hi`] within budget.
-    fn max_uncore_within(
-        inputs: &PcuInputs<'_>,
-        core_mhz: f64,
-        lo_mhz: f64,
-        hi_mhz: f64,
-        budget_w: f64,
-    ) -> f64 {
-        if Self::power_at(inputs, core_mhz, hi_mhz) <= budget_w {
-            return hi_mhz;
-        }
-        let (mut lo, mut hi) = (lo_mhz, hi_mhz);
+        let (mut lo, mut hi) = (lo, hi);
         for _ in 0..24 {
             let mid = 0.5 * (lo + hi);
-            if Self::power_at(inputs, core_mhz, mid) <= budget_w {
+            if fits_rounded(mid) {
                 lo = mid;
             } else {
                 hi = mid;
@@ -283,15 +281,35 @@ impl PcuController {
         let ceiling = Self::core_ceiling_mhz(inputs) as f64;
         let budget = Self::budget_w(spec, inputs.epb, inputs.avg_pkg_w);
 
+        // The largest in-budget core frequency under uncore `fu`. With the
+        // ceiling and budget fixed for the whole solve it is a pure function
+        // of `fu`, which only takes a few UFS bin values, so the damped
+        // iterations, the EPB=performance re-solve and the final re-snap
+        // share one memo keyed by `fu`'s bits. A full memo just stops
+        // storing, which keeps it exact.
+        let mut core_memo: [Option<(u64, f64)>; 8] = [None; 8];
+        let mut max_core_at = |fu: f64| {
+            let key = fu.to_bits();
+            if let Some(&(_, fc)) = core_memo.iter().flatten().find(|(k, _)| *k == key) {
+                return fc;
+            }
+            let fc = Self::max_within(spec.freq.min_mhz as f64, ceiling, |fc| {
+                Self::power_at(inputs, fc, fu) <= budget
+            });
+            if let Some(slot) = core_memo.iter_mut().find(|s| s.is_none()) {
+                *slot = Some((key, fc));
+            }
+            fc
+        };
+
         // Self-consistent iteration: the UFS target follows the actual core
         // frequency, which follows the power left by the uncore. Damped to
         // suppress bin oscillation.
-        let solve_with_epb = |ufs_epb: EpbClass| {
+        let mut solve_with_epb = |ufs_epb: EpbClass| {
             let mut fc = ceiling;
             let mut fu = Self::ufs_target_for(inputs, fc, ufs_epb);
             for _ in 0..24 {
-                let fc_new = Self::max_core_within(inputs, ceiling, fu, budget);
-                fc = 0.5 * (fc + fc_new);
+                fc = 0.5 * (fc + max_core_at(fu));
                 fu = Self::ufs_target_for(inputs, fc, ufs_epb);
             }
             (fc, fu)
@@ -304,9 +322,7 @@ impl PcuController {
             // PCU protects core frequency and falls back to stall-based
             // uncore scaling (otherwise a pinned 3.0 GHz uncore would starve
             // the cores — contradicting Table V's mprime 2500/perf row).
-            let (fc2, fu2) = solve_with_epb(EpbClass::Balanced);
-            fc = fc2;
-            fu = fu2;
+            (fc, fu) = solve_with_epb(EpbClass::Balanced);
             power_limited = fc < ceiling - 5.0;
         }
 
@@ -316,13 +332,14 @@ impl PcuController {
         if !power_limited && ufs::stall_boost_allowed(spec, inputs.stall_fraction) {
             fc = ceiling;
             let fu_max = spec.freq.uncore_max_mhz as f64;
-            let boosted = Self::max_uncore_within(inputs, fc, fu, fu_max, budget);
+            let boosted =
+                Self::max_within(fu, fu_max, |fu| Self::power_at(inputs, fc, fu) <= budget);
             if boosted > fu {
                 fu = boosted;
                 power_limited = fu < fu_max - 5.0;
             }
         } else if power_limited {
-            fc = Self::max_core_within(inputs, ceiling, fu, budget);
+            fc = max_core_at(fu);
         }
 
         let fu = fu.clamp(
@@ -343,6 +360,7 @@ mod tests {
     use super::*;
     use hsw_exec::WorkloadProfile;
     use hsw_hwspec::calib;
+    use proptest::prelude::*;
 
     fn sku() -> SkuSpec {
         SkuSpec::xeon_e5_2680_v3()
@@ -371,6 +389,223 @@ mod tests {
         let fs = WorkloadProfile::firestarter();
         let fc = grant.core_mhz / 1000.0;
         fc * fs.ipc(true, fc, grant.uncore_mhz / 1000.0)
+    }
+
+    /// The solve before its memos: every bisection midpoint and every damped
+    /// iteration prices its candidate afresh. Kept as the oracle that the
+    /// memoized [`PcuController::solve`] must match bit for bit.
+    fn reference_solve(inputs: &PcuInputs<'_>) -> PcuGrant {
+        fn bisect(lo: f64, hi: f64, fits: impl Fn(f64) -> bool) -> f64 {
+            if fits(hi) {
+                return hi;
+            }
+            let (mut lo, mut hi) = (lo, hi);
+            for _ in 0..24 {
+                let mid = 0.5 * (lo + hi);
+                if fits(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        }
+
+        let spec = inputs.spec;
+        if inputs.active_cores == 0 {
+            // The passive branch prices one point and has nothing to memoize.
+            return PcuController::solve(inputs);
+        }
+        let ceiling = PcuController::core_ceiling_mhz(inputs) as f64;
+        let budget = PcuController::budget_w(spec, inputs.epb, inputs.avg_pkg_w);
+        let max_core_within = |fu: f64| {
+            bisect(spec.freq.min_mhz as f64, ceiling, |fc| {
+                PcuController::power_at(inputs, fc, fu) <= budget
+            })
+        };
+        let solve_with_epb = |ufs_epb: EpbClass| {
+            let mut fc = ceiling;
+            let mut fu = PcuController::ufs_target_for(inputs, fc, ufs_epb);
+            for _ in 0..24 {
+                let fc_new = max_core_within(fu);
+                fc = 0.5 * (fc + fc_new);
+                fu = PcuController::ufs_target_for(inputs, fc, ufs_epb);
+            }
+            (fc, fu)
+        };
+        let (mut fc, mut fu) = solve_with_epb(inputs.epb);
+        let mut power_limited = fc < ceiling - 5.0;
+        if power_limited && inputs.epb == EpbClass::Performance {
+            (fc, fu) = solve_with_epb(EpbClass::Balanced);
+            power_limited = fc < ceiling - 5.0;
+        }
+        if !power_limited && ufs::stall_boost_allowed(spec, inputs.stall_fraction) {
+            fc = ceiling;
+            let fu_max = spec.freq.uncore_max_mhz as f64;
+            let boosted = bisect(fu, fu_max, |fu| {
+                PcuController::power_at(inputs, fc, fu) <= budget
+            });
+            if boosted > fu {
+                fu = boosted;
+                power_limited = fu < fu_max - 5.0;
+            }
+        } else if power_limited {
+            fc = max_core_within(fu);
+        }
+        let fu = fu.clamp(
+            spec.freq.uncore_min_mhz as f64,
+            spec.freq.uncore_max_mhz as f64,
+        );
+        PcuGrant {
+            core_mhz: fc,
+            uncore_mhz: fu,
+            power_w: PcuController::power_at(inputs, fc, fu),
+            power_limited,
+        }
+    }
+
+    fn assert_matches_reference(inputs: &PcuInputs<'_>) {
+        let bits = |g: PcuGrant| {
+            (
+                g.core_mhz.to_bits(),
+                g.uncore_mhz.to_bits(),
+                g.power_w.to_bits(),
+                g.power_limited,
+            )
+        };
+        assert_eq!(
+            bits(PcuController::solve(inputs)),
+            bits(reference_solve(inputs)),
+            "{inputs:?}"
+        );
+    }
+
+    /// `power_at` calls made by one solve.
+    fn evals(inputs: &PcuInputs<'_>) -> u32 {
+        POWER_EVALS.with(|n| n.set(0));
+        PcuController::solve(inputs);
+        POWER_EVALS.with(|n| n.get())
+    }
+
+    #[test]
+    fn memoized_solve_is_bit_identical_to_the_reference_over_a_grid() {
+        let workloads = [
+            WorkloadProfile::firestarter(),
+            WorkloadProfile::memory_bound(),
+            WorkloadProfile::busy_wait(),
+        ];
+        let epbs = [
+            EpbClass::Performance,
+            EpbClass::Balanced,
+            EpbClass::EnergySaving,
+        ];
+        // Every point of every axis is covered; `avg_pkg_w`, EET and the
+        // workload cycle along the innermost axis with coprime periods
+        // rather than multiplying the grid.
+        let mut point = 0usize;
+        for base in [sku(), SkuSpec::xeon_platinum_8170()] {
+            let settings = std::iter::once(FreqSetting::Turbo)
+                .chain((12..=25).map(|r| FreqSetting::from_mhz(r * 100)));
+            for setting in settings {
+                for tdp in [base.tdp_w, 70.0, 40.0] {
+                    let mut spec = base.clone();
+                    spec.tdp_w = tdp;
+                    for (epb, avx_level) in
+                        epbs.into_iter().flat_map(|e| (0..=2).map(move |a| (e, a)))
+                    {
+                        for active in 0..=spec.cores {
+                            point += 1;
+                            let w = &workloads[point % 3];
+                            let inputs = PcuInputs {
+                                spec: &spec,
+                                socket_power_mult: 1.0,
+                                setting,
+                                epb,
+                                turbo_enabled: true,
+                                active_cores: active,
+                                gated_idle_cores: (spec.cores - active) / 2,
+                                activity: w.activity(true),
+                                avx_level,
+                                stall_fraction: w.stall_fraction,
+                                eet_limit_mhz: if point.is_multiple_of(2) {
+                                    u32::MAX
+                                } else {
+                                    spec.freq.base_mhz
+                                },
+                                avg_pkg_w: tdp * (point % 5) as f64 / 2.0,
+                            };
+                            assert_matches_reference(&inputs);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        #[test]
+        fn prop_memoized_solve_is_bit_identical_to_the_reference(
+            (activity, stall, mult, avg_frac) in
+                (0.0f64..2.0, 0.0f64..1.0, 0.85f64..1.15, 0.0f64..=2.0),
+            (skx, ratio, epb, avx_level) in
+                (any::<bool>(), 11u32..=25, 0usize..3, 0u8..=2),
+            // A cap of 0 W stands for the SKU's own TDP.
+            (active, cap, eet) in
+                (0usize..=28, prop_oneof![Just(0.0), Just(70.0), Just(40.0)], any::<bool>()),
+        ) {
+            let mut spec = if skx { SkuSpec::xeon_platinum_8170() } else { sku() };
+            if cap > 0.0 {
+                spec.tdp_w = cap;
+            }
+            let epbs = [EpbClass::Performance, EpbClass::Balanced, EpbClass::EnergySaving];
+            let inputs = PcuInputs {
+                spec: &spec,
+                socket_power_mult: mult,
+                // Ratio 11 stands for Turbo.
+                setting: if ratio == 11 {
+                    FreqSetting::Turbo
+                } else {
+                    FreqSetting::from_mhz(ratio * 100)
+                },
+                epb: epbs[epb],
+                turbo_enabled: true,
+                active_cores: active.min(spec.cores),
+                gated_idle_cores: 0,
+                activity,
+                avx_level,
+                stall_fraction: stall,
+                eet_limit_mhz: if eet { spec.freq.base_mhz + 100 } else { u32::MAX },
+                avg_pkg_w: spec.tdp_w * avg_frac,
+            };
+            assert_matches_reference(&inputs);
+        }
+    }
+
+    #[test]
+    fn tdp_limited_solve_prices_few_candidates() {
+        // The memos price each rounded candidate once: the unmemoized solve
+        // made 626 `power_at` calls here, and 1,226 under EPB=performance,
+        // which re-solves with the balanced uncore schedule.
+        let spec = sku();
+        for epb in [EpbClass::Balanced, EpbClass::Performance] {
+            let mut inputs = firestarter_inputs(&spec, FreqSetting::Turbo);
+            inputs.epb = epb;
+            assert!(PcuController::solve(&inputs).power_limited);
+            let n = evals(&inputs);
+            assert!(n <= 64, "{epb:?}: {n} power evaluations");
+        }
+    }
+
+    #[test]
+    fn sub_tdp_solve_prices_few_candidates() {
+        // At 1.6 GHz FIRESTARTER fits the budget: the ceiling is priced once
+        // per uncore bin instead of once per damped iteration (26 before).
+        let spec = sku();
+        let inputs = firestarter_inputs(&spec, FreqSetting::from_mhz(1600));
+        assert!(!PcuController::solve(&inputs).power_limited);
+        let n = evals(&inputs);
+        assert!(n <= 4, "{n} power evaluations");
     }
 
     #[test]
