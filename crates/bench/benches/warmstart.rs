@@ -138,10 +138,10 @@ struct ForkCost {
 /// Measure what one warm-start fork costs under each strategy:
 ///
 /// - `cold`: construct a fresh node and restore the snapshot into it
-///   (what the executor did before scratch-node reuse),
-/// - `full`: re-seed a scratch node and restore every plane,
-/// - `dirty`: `Node::fork_from` — restore only the planes the scratch
-///   node's previous point dirtied.
+///   (what the survey's warm executor, `RunCtx::sweep_warm`, does per fork),
+/// - `full`: re-seed an existing node and restore every plane,
+/// - `dirty`: `Node::fork_from` — restore only the planes the existing
+///   node's previous point dirtied (no survey executor uses this path).
 ///
 /// The timed point touches only the WORK plane (a thread assignment and a
 /// power read, no time advance), the sweep-point shape the dirty fast

@@ -43,10 +43,11 @@ fn settled_tick_loop_is_allocation_free() {
 
 #[test]
 fn dirty_plane_fork_allocates_less_than_a_node_build() {
-    // The scratch-node fork path exists to avoid per-point construction;
+    // `Node::fork_from` re-arms an existing node instead of building one;
     // verify the allocator agrees. A fork of a snapshot into a node that
     // only dirtied its WORK plane must stay well under what constructing
-    // and restoring a fresh node costs.
+    // and restoring a fresh node costs (the survey's warm executor does
+    // the latter for every fork).
     let cfg = NodeConfig::paper_default().with_seed(7);
     let mut golden = Node::new(cfg.clone());
     golden.run_on_socket(0, &WorkloadProfile::compute(), 8, 1);

@@ -9,12 +9,13 @@
 //! timings are reported separately ([`SurveyRun::timings_s`]) and are
 //! deliberately excluded from the JSON document.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use hsw_fleet::{ChipVariation, VariationModel};
-use hsw_node::{EngineMode, Node, NodeSnapshot, Platform, PlatformKind, Session, SessionBuilder};
+use hsw_node::{EngineMode, Node, NodeConfig, Platform, PlatformKind, Session, SessionBuilder};
 use rayon::prelude::*;
 use serde::{Serialize, Value};
 
@@ -118,14 +119,11 @@ pub struct RunCtx {
     /// Simulated-time ledger: every session built through [`RunCtx::session`]
     /// credits its total simulated nanoseconds here on drop.
     sim_ns: Arc<AtomicU64>,
-    /// Sweep points executed through [`RunCtx::sweep`]/[`RunCtx::sweep_salted`]
-    /// (the scoreboard's `pts` column).
+    /// Sweep points executed through any of the `sweep*` executors, surrogate
+    /// answers included (the scoreboard's `pts` column).
     points: Arc<AtomicU64>,
-    /// Warm-start mode: `true` runs each warm sweep's warmup once and forks
-    /// every point from the converged snapshot; `false` re-runs the warmup
-    /// per point. Both paths execute the identical fork code under the
-    /// identical seed schedule, so results are byte-identical — only wall
-    /// clock differs.
+    /// Warm-start mode: `true` runs each warm sweep's warmup once, `false`
+    /// once per fork; results are byte-identical (see [`RunCtx::forked`]).
     warm_start: bool,
     /// Sweep points served from a shared warm-start snapshot instead of a
     /// re-run warmup (the scoreboard's `reuse` column).
@@ -232,19 +230,6 @@ impl RunCtx {
         sweep(self.seed, points, f)
     }
 
-    /// Like [`RunCtx::sweep`] for experiments that run several sweeps:
-    /// `salt` separates the seed streams (panel index, campaign id, …).
-    pub fn sweep_salted<P, R, F>(&self, salt: u64, points: &[P], f: F) -> Vec<R>
-    where
-        P: Sync,
-        R: Send,
-        F: Fn(&P, u64) -> R + Send + Sync,
-    {
-        self.points
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        sweep(mix_seed(self.seed, salt), points, f)
-    }
-
     /// Sweep points served from a shared warm-start snapshot so far.
     pub fn snapshot_reuses(&self) -> u64 {
         self.reuses.load(Ordering::Relaxed)
@@ -260,9 +245,8 @@ impl RunCtx {
         self.spot_checks.load(Ordering::Relaxed)
     }
 
-    /// Credit surrogate/spot-check counts from an experiment that drives
-    /// its own surrogate-vs-simulator comparison (e.g. the accuracy map)
-    /// instead of going through [`RunCtx::sweep_surrogate`].
+    /// Credit surrogate/spot-check counts from an experiment that compares
+    /// surrogate and simulator itself (the accuracy map).
     pub fn note_surrogate(&self, hits: u64, checks: u64) {
         self.surrogate_hits.fetch_add(hits, Ordering::Relaxed);
         self.spot_checks.fetch_add(checks, Ordering::Relaxed);
@@ -270,23 +254,13 @@ impl RunCtx {
 
     /// Warm-start sweep: amortize a shared settle phase across all points.
     ///
-    /// `warmup` receives a session builder (already seeded from the warmup
-    /// sub-base — see the seed-schedule note — and *not* wired to the time ledger) and
-    /// drives the node to its converged pre-point state. `point` receives a
-    /// fork of that state under the point seed `mix_seed(base, k)`, plus
-    /// the point itself and the point seed.
-    ///
-    /// With warm start on, `warmup` runs once and every point forks the one
-    /// snapshot; with it off, `warmup` re-runs per point and each fork is a
-    /// fresh `Node` fully restored from its image. The warm path goes
-    /// further: each worker thread keeps one *scratch node* synced with the
-    /// current warm image and re-arms it between points with
-    /// [`Node::fork_from`], which copies back only the snapshot planes the
-    /// previous point dirtied. All three constructions are bit-identical —
-    /// the dirty mask guarantees untouched planes already equal the image,
-    /// and [`hsw_node`]'s noise is keyed by (seed, domain, sim-time) rather
-    /// than step count — so results are byte-identical by construction;
-    /// only wall clock differs.
+    /// `warmup` drives a node from a session builder (seeded from the warmup
+    /// sub-base, not wired to the time ledger) to its converged pre-point
+    /// state; `point` gets a fork of it under the point seed
+    /// `mix_seed(base, k)`, the point and that seed. Warm start runs
+    /// `warmup` once, cold start once per point ([`RunCtx::forked`]), with
+    /// byte-identical results: [`hsw_node`]'s noise is keyed by (seed,
+    /// domain, sim-time), not steps.
     ///
     /// Contract for `warmup`: configure the builder freely (spec,
     /// resolution, EET, …) but never call [`SessionBuilder::seed`] /
@@ -299,12 +273,12 @@ impl RunCtx {
         W: Fn(SessionBuilder) -> Session + Send + Sync,
         F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
     {
-        self.sweep_warm_inner(self.seed, points, warmup, point)
+        let all = self.count_points(points.len());
+        self.warm_points(self.seed, points, &all, &warmup, &point)
     }
 
-    /// Like [`RunCtx::sweep_warm`] for experiments that run several warm
-    /// sweeps: `salt` separates the seed streams (panel index, benchmark
-    /// id, …).
+    /// Like [`RunCtx::sweep_warm`], with `salt` separating the seed streams
+    /// of an experiment's several warm sweeps (panel index, benchmark id, …).
     pub fn sweep_warm_salted<P, R, W, F>(
         &self,
         salt: u64,
@@ -318,95 +292,15 @@ impl RunCtx {
         W: Fn(SessionBuilder) -> Session + Send + Sync,
         F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
     {
-        self.sweep_warm_inner(mix_seed(self.seed, salt), points, warmup, point)
+        let all = self.count_points(points.len());
+        self.warm_points(mix_seed(self.seed, salt), points, &all, &warmup, &point)
     }
 
-    fn sweep_warm_inner<P, R, W, F>(&self, base: u64, points: &[P], warmup: W, point: F) -> Vec<R>
-    where
-        P: Sync,
-        R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
-        F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
-    {
-        self.points
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        // The warmup session is deliberately unledgered: warm mode runs it
-        // once, cold mode N times, and `sim_time_s` must not depend on the
-        // mode. Each point instead credits its node's final clock — which
-        // starts at the warmup's end time — so every point accounts for
-        // warmup + point time and the totals agree across modes. (Explicit
-        // crediting rather than a drop-ledger: the warm path's scratch
-        // nodes outlive the sweep.)
-        let warm = |_: &P| {
-            let builder = self.platform().session().seed(warmup_seed(base));
-            let node = warmup(builder).into_node();
-            WarmImage {
-                id: IMAGE_IDS.fetch_add(1, Ordering::Relaxed),
-                snap: node.snapshot(),
-                cfg: node.config().clone(),
-            }
-        };
-        if self.warm_start {
-            self.reuses
-                .fetch_add(points.len() as u64, Ordering::Relaxed);
-            let img = match points.first() {
-                Some(p) => warm(p),
-                None => return Vec::new(),
-            };
-            points
-                .par_iter()
-                .enumerate()
-                .map(|(k, p)| {
-                    let seed = mix_seed(base, k as u64);
-                    // Dirty-plane fork fast path: re-arm this worker's
-                    // scratch node if it is synced with this image, else
-                    // build one (full restore clears the dirty mask).
-                    let mut node = match take_scratch(img.id) {
-                        Some(mut node) => {
-                            node.fork_from(&img.snap, seed);
-                            node
-                        }
-                        None => {
-                            let mut node = Node::new(img.cfg.clone().with_seed(seed));
-                            node.restore(&img.snap);
-                            node
-                        }
-                    };
-                    let r = point(&mut node, p, seed);
-                    self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-                    put_scratch(img.id, node);
-                    r
-                })
-                .collect()
-        } else {
-            points
-                .par_iter()
-                .enumerate()
-                .map(|(k, p)| {
-                    let img = warm(p);
-                    let seed = mix_seed(base, k as u64);
-                    let mut node = Node::new(img.cfg.clone().with_seed(seed));
-                    node.restore(&img.snap);
-                    let r = point(&mut node, p, seed);
-                    self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-                    r
-                })
-                .collect()
-        }
-    }
-
-    /// Surrogate sweep: answer every point from the closed form, then
-    /// re-run a deterministic [`SPOTCHECK_K`]-point sample through the full
-    /// simulator's warm path and attach those answers for divergence
-    /// accounting.
-    ///
-    /// `warmup`/`point` are exactly [`RunCtx::sweep_warm`]'s callbacks;
-    /// `surrogate` answers a point from the closed form under the same
-    /// point seed. The spot-checked points run under the *original* point
-    /// seeds `mix_seed(base, k)` and the index-independent warmup seed, so
-    /// each checked answer is byte-identical to point `k` of a full
-    /// `sweep_warm` sweep — at any `--jobs`/pool width, warm or cold (the
-    /// fork construction is bit-identical either way).
+    /// Surrogate sweep: `surrogate` answers every point from the closed form
+    /// under its point seed; a deterministic [`SPOTCHECK_K`]-point sample
+    /// also runs [`RunCtx::sweep_warm`]'s `warmup`/`point` and attaches the
+    /// answer, byte-identical to point `k` of a full `sweep_warm` sweep at
+    /// any `--jobs`/pool width, warm or cold.
     pub fn sweep_surrogate<P, R, W, F, S>(
         &self,
         points: &[P],
@@ -422,93 +316,17 @@ impl RunCtx {
         S: Fn(&P, u64) -> R + Send + Sync,
     {
         let base = self.seed;
-        self.points
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        self.surrogate_hits
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        let checked = spotcheck_ids(base, points.len(), SPOTCHECK_K);
-        self.spot_checks
-            .fetch_add(checked.len() as u64, Ordering::Relaxed);
-        let mut out: Vec<Surrogate<R>> = points
-            .par_iter()
-            .enumerate()
-            .map(|(k, p)| Surrogate {
-                value: surrogate(p, mix_seed(base, k as u64)),
-                checked: None,
-            })
-            .collect();
-        for (k, full) in self.sweep_warm_subset(base, points, &checked, &warmup, &point) {
-            out[k].checked = Some(full);
-        }
-        out
+        self.spot_checked(
+            points.len(),
+            |k| surrogate(&points[k], mix_seed(base, k as u64)),
+            |ids| self.warm_points(base, points, ids, &warmup, &point),
+        )
     }
 
-    /// The full-simulator warm path over a subset of a sweep's points,
-    /// under the original point seeds — the spot-check engine behind
-    /// [`RunCtx::sweep_surrogate`]. Scratch-node reuse is skipped (the
-    /// subset is tiny); a full restore is bit-identical to a re-arm.
-    fn sweep_warm_subset<P, R, W, F>(
-        &self,
-        base: u64,
-        points: &[P],
-        indices: &[usize],
-        warmup: &W,
-        point: &F,
-    ) -> Vec<(usize, R)>
-    where
-        P: Sync,
-        R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
-        F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
-    {
-        let warm = || {
-            let builder = self.platform().session().seed(warmup_seed(base));
-            let node = warmup(builder).into_node();
-            (node.snapshot(), node.config().clone())
-        };
-        let run_one = |snap: &NodeSnapshot, cfg: &hsw_node::NodeConfig, k: usize| {
-            let seed = mix_seed(base, k as u64);
-            let mut node = Node::new(cfg.clone().with_seed(seed));
-            node.restore(snap);
-            let r = point(&mut node, &points[k], seed);
-            self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-            (k, r)
-        };
-        if self.warm_start {
-            if indices.is_empty() {
-                return Vec::new();
-            }
-            self.reuses
-                .fetch_add(indices.len() as u64, Ordering::Relaxed);
-            let (snap, cfg) = warm();
-            indices
-                .par_iter()
-                .map(|&k| run_one(&snap, &cfg, k))
-                .collect()
-        } else {
-            indices
-                .par_iter()
-                .map(|&k| {
-                    let (snap, cfg) = warm();
-                    run_one(&snap, &cfg, k)
-                })
-                .collect()
-        }
-    }
-
-    /// Fleet surrogate sweep: answer every manufactured member from the
-    /// closed form, then re-run a deterministic [`SPOTCHECK_K`]-member
-    /// sample through the full simulator and attach those answers.
-    ///
-    /// `warmup`/`member` are exactly [`RunCtx::sweep_fleet`]'s callbacks;
-    /// `surrogate` answers member `(variation, id, seed)` from the closed
-    /// form (the variation is the same `ChipVariation::sample` draw the
-    /// simulator path applies, so a chip's analytic identity is its
-    /// simulated identity). Spot-checked members run under their original
-    /// node seeds `node_seed(base, id)` and the shared warm image — the
-    /// identical fork construction as `sweep_fleet` — so each checked
-    /// answer is byte-identical to member `id` of a full-fidelity fleet at
-    /// any `--jobs`/pool width.
+    /// Fleet surrogate sweep: [`RunCtx::sweep_surrogate`] over the members
+    /// of a [`RunCtx::sweep_fleet`] fleet. `surrogate` answers member
+    /// `(variation, id, seed)` from the closed form with the simulator's own
+    /// `ChipVariation` draw; spot checks match the full-fidelity fleet.
     pub fn sweep_fleet_surrogate<R, W, F, S>(
         &self,
         fleet_size: usize,
@@ -524,63 +342,14 @@ impl RunCtx {
         S: Fn(&ChipVariation, usize, u64) -> R + Send + Sync,
     {
         let base = self.seed;
-        self.points.fetch_add(fleet_size as u64, Ordering::Relaxed);
-        self.surrogate_hits
-            .fetch_add(fleet_size as u64, Ordering::Relaxed);
-        let checked = spotcheck_ids(base, fleet_size, SPOTCHECK_K);
-        self.spot_checks
-            .fetch_add(checked.len() as u64, Ordering::Relaxed);
-        // The rayon shim parallelizes slices, not ranges.
-        let ids: Vec<usize> = (0..fleet_size).collect();
-        let mut out: Vec<Surrogate<R>> = ids
-            .par_iter()
-            .map(|&id| {
+        self.spot_checked(
+            fleet_size,
+            |id| {
                 let seed = node_seed(base, id as u64);
-                let var = ChipVariation::sample(model, seed);
-                Surrogate {
-                    value: surrogate(&var, id, seed),
-                    checked: None,
-                }
-            })
-            .collect();
-        if checked.is_empty() {
-            return out;
-        }
-        let warm = || {
-            let builder = self.platform().session().seed(warmup_seed(base));
-            let node = warmup(builder).into_node();
-            (node.snapshot(), node.config().clone())
-        };
-        let run_one = |snap: &NodeSnapshot, cfg: &hsw_node::NodeConfig, id: usize| {
-            let seed = node_seed(base, id as u64);
-            let var = ChipVariation::sample(model, seed);
-            let mut node = Node::new(cfg.clone().with_seed(seed).with_spec(var.apply(&cfg.spec)));
-            node.restore(snap);
-            let r = member(&mut node, &var, id, seed);
-            self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-            (id, r)
-        };
-        let full: Vec<(usize, R)> = if self.warm_start {
-            self.reuses
-                .fetch_add(checked.len() as u64, Ordering::Relaxed);
-            let (snap, cfg) = warm();
-            checked
-                .par_iter()
-                .map(|&id| run_one(&snap, &cfg, id))
-                .collect()
-        } else {
-            checked
-                .par_iter()
-                .map(|&id| {
-                    let (snap, cfg) = warm();
-                    run_one(&snap, &cfg, id)
-                })
-                .collect()
-        };
-        for (id, r) in full {
-            out[id].checked = Some(r);
-        }
-        out
+                surrogate(&ChipVariation::sample(model, seed), id, seed)
+            },
+            |ids| self.warm_fleet(base, model, ids, &warmup, &member),
+        )
     }
 
     /// Fleet sweep: warm one *golden* node, then fork it into `fleet_size`
@@ -599,8 +368,8 @@ impl RunCtx {
     ///   member continues from the same converged instant.
     ///
     /// `member` receives `(node, &variation, id, seed)`. Results come back
-    /// in node-id order; byte-identical for any pool width and `--jobs`
-    /// (warm and cold modes run the identical fork construction).
+    /// in node-id order; byte-identical for any pool width and `--jobs`,
+    /// warm or cold.
     pub fn sweep_fleet<R, W, F>(
         &self,
         fleet_size: usize,
@@ -613,129 +382,131 @@ impl RunCtx {
         W: Fn(SessionBuilder) -> Session + Send + Sync,
         F: Fn(&mut Node, &ChipVariation, usize, u64) -> R + Send + Sync,
     {
-        self.sweep_fleet_inner(self.seed, fleet_size, model, warmup, member)
+        let all = self.count_points(fleet_size);
+        self.warm_fleet(self.seed, model, &all, &warmup, &member)
     }
 
-    /// Like [`RunCtx::sweep_fleet`] for experiments that run several fleets
-    /// (one per power cap, say): `salt` separates the sweep bases, so every
-    /// fleet manufactures the *same* chips only when it runs under the same
-    /// salt.
-    pub fn sweep_fleet_salted<R, W, F>(
-        &self,
-        salt: u64,
-        fleet_size: usize,
-        model: &VariationModel,
-        warmup: W,
-        member: F,
-    ) -> Vec<R>
-    where
-        R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
-        F: Fn(&mut Node, &ChipVariation, usize, u64) -> R + Send + Sync,
-    {
-        self.sweep_fleet_inner(mix_seed(self.seed, salt), fleet_size, model, warmup, member)
-    }
-
-    fn sweep_fleet_inner<R, W, F>(
+    /// [`RunCtx::forked`] over `points[k]` for each `k` in `ids`, forked
+    /// under the point seed `mix_seed(base, k)`.
+    fn warm_points<P: Sync, R: Send>(
         &self,
         base: u64,
-        fleet_size: usize,
-        model: &VariationModel,
-        warmup: W,
-        member: F,
-    ) -> Vec<R>
-    where
-        R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
-        F: Fn(&mut Node, &ChipVariation, usize, u64) -> R + Send + Sync,
-    {
-        self.points.fetch_add(fleet_size as u64, Ordering::Relaxed);
-        let warm = || {
-            let builder = self.platform().session().seed(warmup_seed(base));
-            let node = warmup(builder).into_node();
-            WarmImage {
-                id: IMAGE_IDS.fetch_add(1, Ordering::Relaxed),
-                snap: node.snapshot(),
-                cfg: node.config().clone(),
-            }
-        };
-        // Every member is its own manufactured chip (its own spec), so the
-        // scratch-node fast path does not apply here: each fork builds a
-        // fresh node around the member's varied spec and restores in full.
-        let fork = |img: &WarmImage, id: usize| {
-            let seed = node_seed(base, id as u64);
-            let var = ChipVariation::sample(model, seed);
-            let mut node = Node::new(
-                img.cfg
-                    .clone()
-                    .with_seed(seed)
-                    .with_spec(var.apply(&img.cfg.spec)),
-            );
-            node.restore(&img.snap);
-            (node, var, seed)
-        };
-        // The rayon shim parallelizes slices, not ranges.
-        let ids: Vec<usize> = (0..fleet_size).collect();
-        if self.warm_start {
-            if fleet_size == 0 {
-                return Vec::new();
-            }
-            self.reuses.fetch_add(fleet_size as u64, Ordering::Relaxed);
-            let img = warm();
-            ids.par_iter()
-                .map(|&id| {
-                    let (mut node, var, seed) = fork(&img, id);
-                    let r = member(&mut node, &var, id, seed);
-                    self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-                    r
-                })
-                .collect()
-        } else {
-            ids.par_iter()
-                .map(|&id| {
-                    let img = warm();
-                    let (mut node, var, seed) = fork(&img, id);
-                    let r = member(&mut node, &var, id, seed);
-                    self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-                    r
-                })
-                .collect()
-        }
+        points: &[P],
+        ids: &[usize],
+        warmup: &(impl Fn(SessionBuilder) -> Session + Sync),
+        point: &(impl Fn(&mut Node, &P, u64) -> R + Sync),
+    ) -> Vec<R> {
+        self.forked(
+            base,
+            ids,
+            warmup,
+            |cfg, k| cfg.clone().with_seed(mix_seed(base, k as u64)),
+            |node, k, seed| point(node, &points[k], seed),
+        )
     }
-}
 
-/// The converged pre-point state one warm sweep forks from: the warmup
-/// node's snapshot plus the config to rebuild an identical node around it.
-/// The process-unique `id` keys the per-thread scratch nodes: a scratch is
-/// only re-armed with a dirty-plane fork against the image it was last
-/// synced with.
-struct WarmImage {
-    id: u64,
-    snap: NodeSnapshot,
-    cfg: hsw_node::NodeConfig,
-}
+    /// [`RunCtx::forked`] over fleet members `ids`, each forked as its own
+    /// chip (see [`RunCtx::sweep_fleet`]).
+    fn warm_fleet<R: Send>(
+        &self,
+        base: u64,
+        model: &VariationModel,
+        ids: &[usize],
+        warmup: &(impl Fn(SessionBuilder) -> Session + Sync),
+        member: &(impl Fn(&mut Node, &ChipVariation, usize, u64) -> R + Sync),
+    ) -> Vec<R> {
+        let chip = |seed| ChipVariation::sample(model, seed);
+        self.forked(
+            base,
+            ids,
+            warmup,
+            |cfg, id| {
+                let seed = node_seed(base, id as u64);
+                let spec = chip(seed).apply(&cfg.spec);
+                cfg.clone().with_seed(seed).with_spec(spec)
+            },
+            |node, id, seed| member(node, &chip(seed), id, seed),
+        )
+    }
 
-/// Process-wide warm-image id allocator (0 is never issued, so a scratch
-/// slot can use it as "none").
-static IMAGE_IDS: AtomicU64 = AtomicU64::new(1);
+    /// The one warm-fork executor: warm a node with `warmup` under the
+    /// sweep base's warmup seed, then run `body(node, id, seed)` on a fork
+    /// of it for each of `ids`, returning results in `ids` order. Fork `id`
+    /// is a fresh `Node::new(fork_cfg(&warm config, id))` fully restored
+    /// from the warm snapshot, clock included, under the seed `fork_cfg`
+    /// gave it. Warm start builds the image once and counts every fork as a
+    /// snapshot reuse; cold start rebuilds it per id; empty `ids` never
+    /// warm. The warmup is unledgered so that `sim_time_s` is the same in
+    /// both modes: each fork credits its final clock, which starts at the
+    /// warmup's end, so every fork accounts for warmup + point time.
+    fn forked<R: Send>(
+        &self,
+        base: u64,
+        ids: &[usize],
+        warmup: &(impl Fn(SessionBuilder) -> Session + Sync),
+        fork_cfg: impl Fn(&NodeConfig, usize) -> NodeConfig + Sync,
+        body: impl Fn(&mut Node, usize, u64) -> R + Sync,
+    ) -> Vec<R> {
+        if ids.is_empty() {
+            return Vec::new();
+        }
+        let image = || {
+            let node = warmup(self.platform().session().seed(warmup_seed(base))).into_node();
+            (node.snapshot(), node.config().clone())
+        };
+        let shared = self.warm_start.then(image);
+        if shared.is_some() {
+            self.reuses.fetch_add(ids.len() as u64, Ordering::Relaxed);
+        }
+        ids.par_iter()
+            .map(|&id| {
+                let img = shared
+                    .as_ref()
+                    .map_or_else(|| Cow::Owned(image()), Cow::Borrowed);
+                let mut node = Node::new(fork_cfg(&img.1, id));
+                node.restore(&img.0);
+                let seed = node.config().seed;
+                let r = body(&mut node, id, seed);
+                self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
+                r
+            })
+            .collect()
+    }
 
-thread_local! {
-    /// One reusable scratch node per worker thread, tagged with the warm
-    /// image it is currently synced with. Taken *out* of the slot while a
-    /// point runs so re-entrant sweeps can never alias it.
-    static SCRATCH: std::cell::RefCell<Option<(u64, Node)>> =
-        const { std::cell::RefCell::new(None) };
-}
+    /// The surrogate pattern behind both surrogate sweeps: answer each of
+    /// `n` indices from the closed form `closed`, draw [`spotcheck_ids`]
+    /// under this experiment's seed, run `full` over only those indices and
+    /// attach its answers, given in sample order.
+    fn spot_checked<R: Send>(
+        &self,
+        n: usize,
+        closed: impl Fn(usize) -> R + Sync,
+        full: impl FnOnce(&[usize]) -> Vec<R>,
+    ) -> Vec<Surrogate<R>> {
+        self.surrogate_hits.fetch_add(n as u64, Ordering::Relaxed);
+        let checked = spotcheck_ids(self.seed, n, SPOTCHECK_K);
+        self.spot_checks
+            .fetch_add(checked.len() as u64, Ordering::Relaxed);
+        let mut out: Vec<Surrogate<R>> = self
+            .count_points(n)
+            .par_iter()
+            .map(|&k| Surrogate {
+                value: closed(k),
+                checked: None,
+            })
+            .collect();
+        for (&k, r) in checked.iter().zip(full(&checked)) {
+            out[k].checked = Some(r);
+        }
+        out
+    }
 
-fn take_scratch(img_id: u64) -> Option<Node> {
-    SCRATCH.with(|slot| {
-        let taken = slot.borrow_mut().take();
-        taken.and_then(|(id, node)| (id == img_id).then_some(node))
-    })
-}
-
-fn put_scratch(img_id: u64, node: Node) {
-    SCRATCH.with(|slot| *slot.borrow_mut() = Some((img_id, node)));
+    /// Credit `n` sweep points to the `pts` column and return their indices
+    /// `0..n` as a slice (the rayon shim parallelizes slices, not ranges).
+    fn count_points(&self, n: usize) -> Vec<usize> {
+        self.points.fetch_add(n as u64, Ordering::Relaxed);
+        (0..n).collect()
+    }
 }
 
 /// The deterministic intra-experiment sweep executor: run `f` over every
@@ -980,20 +751,16 @@ pub struct SurveyRun {
     /// deterministic (a function of fidelity only), so it does go into
     /// the JSON document.
     pub sim_times_s: Vec<f64>,
-    /// Sweep points each experiment fanned through the pool, parallel to
-    /// `results`. Deterministic, but a harness detail rather than a paper
-    /// result — scoreboard only, never in the JSON document.
+    // Per-experiment sweep counters, parallel to `results`. Deterministic,
+    // but harness details rather than paper results: scoreboard only, never
+    // in the JSON document.
+    /// Sweep points each experiment fanned through the pool.
     pub sweep_points: Vec<u64>,
-    /// Sweep points each experiment served from a shared warm-start
-    /// snapshot, parallel to `results`. Zero under `--warm-start off`.
-    /// Like `sweep_points`: scoreboard only, never in the JSON document.
+    /// Points served from a shared warm-start snapshot (0 when cold).
     pub snapshot_reuses: Vec<u64>,
-    /// Sweep points each experiment answered from the closed-form
-    /// surrogate, parallel to `results`. Zero outside `--fidelity
-    /// analytic`. Scoreboard only, never in the JSON document.
+    /// Points answered from the closed-form surrogate.
     pub surrogate_hits: Vec<u64>,
-    /// Surrogate points each experiment re-ran through the full simulator
-    /// as spot checks, parallel to `results`. Scoreboard only.
+    /// Surrogate points re-run through the full simulator as spot checks.
     pub spot_checks: Vec<u64>,
 }
 
@@ -1042,13 +809,12 @@ pub fn run_survey(cfg: &SurveyConfig) -> Result<SurveyRun, String> {
         }
     }
 
-    /// One worker's slot: (result, wall seconds, simulated seconds, points,
-    /// snapshot reuses, surrogate hits, spot checks).
-    type Slot = (ExperimentResult, f64, f64, u64, u64, u64, u64);
-
     let jobs = cfg.jobs.clamp(1, selected.len());
     let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Slot>>> = Mutex::new((0..selected.len()).map(|_| None).collect());
+    // One slot per experiment: its result, wall seconds and context (whose
+    // counters feed the scoreboard).
+    let slots: Mutex<Vec<Option<(ExperimentResult, f64, RunCtx)>>> =
+        Mutex::new((0..selected.len()).map(|_| None).collect());
 
     std::thread::scope(|scope| {
         for _ in 0..jobs {
@@ -1070,48 +836,30 @@ pub fn run_survey(cfg: &SurveyConfig) -> Result<SurveyRun, String> {
                 let t0 = Instant::now();
                 let result = exp.run(&ctx);
                 let wall_s = t0.elapsed().as_secs_f64();
-                slots.lock().unwrap()[i] = Some((
-                    result,
-                    wall_s,
-                    ctx.sim_time_s(),
-                    ctx.sweep_points(),
-                    ctx.snapshot_reuses(),
-                    ctx.surrogate_hits(),
-                    ctx.spot_checks(),
-                ));
+                slots.lock().unwrap()[i] = Some((result, wall_s, ctx));
             });
         }
     });
 
-    let mut results = Vec::with_capacity(selected.len());
-    let mut timings_s = Vec::with_capacity(selected.len());
-    let mut sim_times_s = Vec::with_capacity(selected.len());
-    let mut sweep_points = Vec::with_capacity(selected.len());
-    let mut snapshot_reuses = Vec::with_capacity(selected.len());
-    let mut surrogate_hits = Vec::with_capacity(selected.len());
-    let mut spot_checks = Vec::with_capacity(selected.len());
-    for slot in slots.into_inner().unwrap() {
-        let (r, wall, sim, pts, reuses, sur, chk) = slot.expect("worker left a slot unfilled");
-        results.push(r);
-        timings_s.push(wall);
-        sim_times_s.push(sim);
-        sweep_points.push(pts);
-        snapshot_reuses.push(reuses);
-        surrogate_hits.push(sur);
-        spot_checks.push(chk);
-    }
+    let slots: Vec<(ExperimentResult, f64, RunCtx)> = slots
+        .into_inner()
+        .unwrap()
+        .into_iter()
+        .map(|slot| slot.expect("worker left a slot unfilled"))
+        .collect();
+    let count = |f: fn(&RunCtx) -> u64| slots.iter().map(|s| f(&s.2)).collect();
     Ok(SurveyRun {
         fidelity: cfg.fidelity,
         seed: cfg.seed,
         engine: cfg.engine,
         platform: cfg.platform,
-        results,
-        timings_s,
-        sim_times_s,
-        sweep_points,
-        snapshot_reuses,
-        surrogate_hits,
-        spot_checks,
+        timings_s: slots.iter().map(|s| s.1).collect(),
+        sim_times_s: slots.iter().map(|s| s.2.sim_time_s()).collect(),
+        sweep_points: count(RunCtx::sweep_points),
+        snapshot_reuses: count(RunCtx::snapshot_reuses),
+        surrogate_hits: count(RunCtx::surrogate_hits),
+        spot_checks: count(RunCtx::spot_checks),
+        results: slots.into_iter().map(|s| s.0).collect(),
     })
 }
 
@@ -1147,47 +895,37 @@ impl SurveyRun {
                 ])
             })
             .collect();
-        let total: usize = self.results.iter().map(|r| r.checks.len()).sum();
-        let passed: usize = self
-            .results
-            .iter()
-            .map(|r| r.checks.iter().filter(|c| c.passed).count())
-            .sum();
+        let (passed, total) = self.checks_passed_of_total();
+        let n = self.results.len() as u64;
+        let cpu = match self.platform {
+            PlatformKind::Haswell => "Haswell",
+            PlatformKind::SkylakeSp => "Skylake SP",
+        };
+        let paper = format!("An Energy Efficiency Feature Survey of the Intel {cpu} Processor");
         Value::Object(vec![
             (
                 "schema".to_string(),
                 Value::Str("haswell-survey/v1".to_string()),
             ),
-            (
-                "paper".to_string(),
-                Value::Str(
-                    match self.platform {
-                        PlatformKind::Haswell => {
-                            "An Energy Efficiency Feature Survey of the Intel Haswell Processor"
-                        }
-                        PlatformKind::SkylakeSp => {
-                            "An Energy Efficiency Feature Survey of the \
-                             Intel Skylake SP Processor"
-                        }
-                    }
-                    .to_string(),
-                ),
-            ),
+            ("paper".to_string(), Value::Str(paper)),
             ("seed".to_string(), Value::UInt(self.seed)),
             ("fidelity".to_string(), self.fidelity.to_value()),
             (
                 "summary".to_string(),
                 Value::Object(vec![
-                    (
-                        "experiments".to_string(),
-                        Value::UInt(self.results.len() as u64),
-                    ),
+                    ("experiments".to_string(), Value::UInt(n)),
                     ("checks_total".to_string(), Value::UInt(total as u64)),
                     ("checks_passed".to_string(), Value::UInt(passed as u64)),
                 ]),
             ),
             ("experiments".to_string(), Value::Array(experiments)),
         ])
+    }
+
+    /// Checks passed and checks run, over every experiment.
+    fn checks_passed_of_total(&self) -> (usize, usize) {
+        let checks = self.results.iter().flat_map(|r| &r.checks);
+        (checks.clone().filter(|c| c.passed).count(), checks.count())
     }
 
     /// Pretty-printed deterministic JSON.
@@ -1223,28 +961,19 @@ impl SurveyRun {
                 "sim s",
             ],
         );
-        for ((((((r, wall_s), sim_s), pts), reuse), sur), chk) in self
-            .results
-            .iter()
-            .zip(&self.timings_s)
-            .zip(&self.sim_times_s)
-            .zip(&self.sweep_points)
-            .zip(&self.snapshot_reuses)
-            .zip(&self.surrogate_hits)
-            .zip(&self.spot_checks)
-        {
+        for (i, r) in self.results.iter().enumerate() {
             let passed = r.checks.iter().filter(|c| c.passed).count();
             t.row(vec![
                 r.id.to_string(),
                 r.anchor.to_string(),
                 format!("{passed}/{}", r.checks.len()),
                 crate::report::pass_fail(r.checks_passed()).to_string(),
-                pts.to_string(),
-                reuse.to_string(),
-                sur.to_string(),
-                chk.to_string(),
-                format!("{wall_s:.2}"),
-                format!("{sim_s:.2}"),
+                self.sweep_points[i].to_string(),
+                self.snapshot_reuses[i].to_string(),
+                self.surrogate_hits[i].to_string(),
+                self.spot_checks[i].to_string(),
+                format!("{:.2}", self.timings_s[i]),
+                format!("{:.2}", self.sim_times_s[i]),
             ]);
         }
         t
@@ -1273,12 +1002,7 @@ impl SurveyRun {
             out.push('\n');
         }
         out.push_str(&format!("{}\n", self.scoreboard()));
-        let total: usize = self.results.iter().map(|r| r.checks.len()).sum();
-        let passed: usize = self
-            .results
-            .iter()
-            .map(|r| r.checks.iter().filter(|c| c.passed).count())
-            .sum();
+        let (passed, total) = self.checks_passed_of_total();
         out.push_str(&format!(
             "survey: {} experiments, {passed}/{total} checks passed\n",
             self.results.len()
@@ -1344,6 +1068,80 @@ mod tests {
                 assert!(seen.insert(mix_seed(base, idx)), "point {idx} collided");
                 assert!(seen.insert(node_seed(base, idx)), "node {idx} collided");
             }
+        }
+    }
+
+    /// Runs each warm-fork entry point on `n` tiny inputs under a fresh
+    /// context and returns its result bits (surrogate answers flattened to
+    /// value/checked pairs) with that context.
+    fn fork_entry_points(warm: bool, n: usize, warmups: &AtomicUsize) -> Vec<(Vec<u64>, RunCtx)> {
+        use {hsw_exec::WorkloadProfile, hsw_hwspec::freq::FreqSetting};
+        let warmup = |b: SessionBuilder| {
+            warmups.fetch_add(1, Ordering::Relaxed);
+            let mut s = b.resolution(hsw_node::Resolution::Custom(100)).build();
+            s.run_on_socket(0, &WorkloadProfile::compute(), 4, 1);
+            s.advance_s(0.02);
+            s
+        };
+        let point = |node: &mut Node, cores: usize| {
+            node.run_on_socket(0, &WorkloadProfile::compute(), cores, 1);
+            node.set_setting_all(FreqSetting::from_mhz(1200 + 100 * cores as u32));
+            node.advance_s(0.01);
+            // Transition times carry the fork's noise and the warmup's state.
+            let done: u64 = node
+                .drain_transitions(0)
+                .iter()
+                .map(|t| t.completed_at)
+                .sum();
+            node.true_pkg_power_w(0).to_bits() ^ done
+        };
+        let pt = |node: &mut Node, &k: &usize, _: u64| point(node, k);
+        let member = |node: &mut Node, _: &ChipVariation, id: usize, _: u64| point(node, id + 1);
+        let sur = |v: Vec<Surrogate<u64>>| {
+            v.iter()
+                .flat_map(|s| [s.value, s.checked.unwrap_or(0)])
+                .collect()
+        };
+        let run = |f: &dyn Fn(&RunCtx) -> Vec<u64>| {
+            let c = RunCtx::new(Fidelity::Quick, 9, EngineMode::default()).with_warm_start(warm);
+            (f(&c), c)
+        };
+        let (pts, model): (Vec<usize>, _) = ((1..=n).collect(), VariationModel::paper_fleet());
+        vec![
+            run(&|c| c.sweep_warm(&pts, warmup, pt)),
+            run(&|c| c.sweep_warm_salted(5, &pts, warmup, pt)),
+            run(&|c| sur(c.sweep_surrogate(&pts, warmup, pt, |&k, s| s ^ k as u64))),
+            run(&|c| c.sweep_fleet(n, &model, warmup, member)),
+            run(&|c| {
+                sur(c.sweep_fleet_surrogate(n, &model, warmup, member, |_, id, s| s ^ id as u64))
+            }),
+        ]
+    }
+
+    /// The warm-fork executor contract: warm and cold mode agree bit for
+    /// bit on results and deterministic counters; warm mode serves every
+    /// fork from the one snapshot, cold mode none; and empty input returns
+    /// nothing without running the warmup.
+    #[test]
+    fn warm_and_cold_forks_agree_on_results_and_counters() {
+        let warmups = AtomicUsize::new(0);
+        for warm in [true, false] {
+            for (out, ctx) in fork_entry_points(warm, 0, &warmups) {
+                assert_eq!((out.len(), ctx.snapshot_reuses()), (0, 0));
+            }
+        }
+        assert_eq!(warmups.load(Ordering::Relaxed), 0, "empty input warmed");
+        let [warm, cold] = [true, false].map(|w| fork_entry_points(w, 3, &warmups));
+        let forks = [3, 3, SPOTCHECK_K as u64, 3, SPOTCHECK_K as u64];
+        let counters = |c: &RunCtx| {
+            let sim = c.sim_time_s().to_bits();
+            [c.sweep_points(), c.surrogate_hits(), c.spot_checks(), sim]
+        };
+        for (i, ((w, wc), (c, cc))) in warm.iter().zip(&cold).enumerate() {
+            assert_eq!(w, c, "entry point {i}: results differ");
+            assert_eq!(counters(wc), counters(cc), "entry point {i}: counters");
+            let reuses = (wc.snapshot_reuses(), cc.snapshot_reuses());
+            assert_eq!(reuses, (forks[i], 0), "entry point {i}: snapshot reuses");
         }
     }
 
