@@ -1119,9 +1119,10 @@ mod tests {
     }
 
     /// The warm-fork executor contract: warm and cold mode agree bit for
-    /// bit on results and deterministic counters; warm mode serves every
-    /// fork from the one snapshot, cold mode none; and empty input returns
-    /// nothing without running the warmup.
+    /// bit on results and deterministic counters; warm mode runs each
+    /// sweep's warmup once and serves every fork from its snapshot, cold
+    /// mode runs the warmup once per fork; and empty input returns nothing
+    /// without running the warmup.
     #[test]
     fn warm_and_cold_forks_agree_on_results_and_counters() {
         let warmups = AtomicUsize::new(0);
@@ -1131,8 +1132,18 @@ mod tests {
             }
         }
         assert_eq!(warmups.load(Ordering::Relaxed), 0, "empty input warmed");
-        let [warm, cold] = [true, false].map(|w| fork_entry_points(w, 3, &warmups));
+        let [(warm, warm_ups), (cold, cold_ups)] = [true, false].map(|w| {
+            warmups.store(0, Ordering::Relaxed);
+            let out = fork_entry_points(w, 3, &warmups);
+            (out, warmups.load(Ordering::Relaxed))
+        });
         let forks = [3, 3, SPOTCHECK_K as u64, 3, SPOTCHECK_K as u64];
+        assert_eq!(warm_ups, forks.len(), "warm warmups: one per sweep");
+        assert_eq!(
+            cold_ups as u64,
+            forks.iter().sum(),
+            "cold warmups: one per fork"
+        );
         let counters = |c: &RunCtx| {
             let sim = c.sim_time_s().to_bits();
             [c.sweep_points(), c.surrogate_hits(), c.spot_checks(), sim]

@@ -24,8 +24,9 @@ const RULES_REV: u32 = 1;
 
 /// Crates whose output feeds `survey.json` (directly or through the node
 /// model); D1/D2 apply in full. `tools` drives interactive binaries,
-/// `bench` measures wall time by design, and `shims/` vendors external
-/// API surfaces — all exempt from D1/D2, but S1 still applies everywhere.
+/// `lint` checks source rather than producing results, and `shims/`
+/// vendors external API surfaces — all exempt from D1/D2, but S1 still
+/// applies everywhere.
 pub const RESULT_CRATES: &[&str] = &[
     "analytic", "core", "cstates", "exec", "fleet", "hwspec", "memhier", "msr", "node", "pcu",
     "power",
@@ -537,7 +538,7 @@ mod tests {
         assert!(scope_of("crates/core/src/survey.rs").result_crate);
         assert!(scope_of("crates/fleet/src/variation.rs").result_crate);
         assert!(scope_of("crates/analytic/src/model.rs").result_crate);
-        assert!(!scope_of("crates/bench/src/lib.rs").result_crate);
+        assert!(!scope_of("crates/lint/src/workspace.rs").result_crate);
         assert!(!scope_of("crates/tools/src/stress.rs").result_crate);
         assert!(!scope_of("shims/rayon/src/pool.rs").result_crate);
         assert!(!scope_of("src/bin/survey.rs").result_crate);

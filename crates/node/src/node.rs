@@ -890,8 +890,16 @@ mod engine_tests {
         use hsw_msr::fields;
         use proptest::prelude::*;
 
-        fn warm_image() -> (NodeSnapshot, NodeConfig) {
-            let cfg = NodeConfig::paper_default();
+        /// Both firmware platforms the fork paths serve.
+        fn platforms() -> [NodeConfig; 2] {
+            let hsw = NodeConfig::paper_default();
+            let skx = hsw
+                .clone()
+                .with_spec(hsw_hwspec::NodeSpec::skylake_sp_node());
+            [hsw, skx]
+        }
+
+        fn warm_image(cfg: NodeConfig) -> (NodeSnapshot, NodeConfig) {
             let mut node = Node::new(cfg.clone());
             node.run_on_socket(0, &WorkloadProfile::compute(), 8, 1);
             node.set_setting_all(FreqSetting::from_mhz(2200));
@@ -934,30 +942,36 @@ mod engine_tests {
                 ),
                 seed_base in any::<u32>(),
             ) {
-                // A scratch node cycling against one warm image with
-                // dirty-plane forks must stay bit-identical to a fresh
-                // node fully restoring the same image, whatever the
+                // On both platforms, a scratch node cycling against one
+                // warm image with dirty-plane forks, and one re-seeded and
+                // fully restored each time, must stay bit-identical to a
+                // fresh node fully restoring the same image, whatever the
                 // previous point mutated (including the fingerprint's own
                 // measurement advance).
-                let (snap, cfg) = warm_image();
-                let mut scratch = Node::new(cfg.clone());
-                scratch.restore(&snap);
-                for (k, prog) in programs.iter().enumerate() {
-                    let seed = u64::from(seed_base) + k as u64 + 1;
-                    scratch.fork_from(&snap, seed);
-                    let mut fresh = Node::new(cfg.clone().with_seed(seed));
-                    fresh.restore(&snap);
-                    for (op, v) in prog {
-                        mutate(&mut scratch, *op, *v);
-                        mutate(&mut fresh, *op, *v);
+                for cfg in platforms() {
+                    let (snap, cfg) = warm_image(cfg);
+                    let mut scratch = Node::new(cfg.clone());
+                    scratch.restore(&snap);
+                    let mut reused = Node::new(cfg.clone());
+                    for (k, prog) in programs.iter().enumerate() {
+                        let seed = u64::from(seed_base) + k as u64 + 1;
+                        scratch.fork_from(&snap, seed);
+                        reused.reseed(seed);
+                        reused.restore(&snap);
+                        let mut fresh = Node::new(cfg.clone().with_seed(seed));
+                        fresh.restore(&snap);
+                        for node in [&mut scratch, &mut reused, &mut fresh] {
+                            for (op, v) in prog {
+                                mutate(node, *op, *v);
+                            }
+                            node.advance_s(0.05);
+                        }
+                        let (want, name) = (fingerprint(&mut fresh), cfg.spec.name);
+                        let fork = fingerprint(&mut scratch);
+                        prop_assert_eq!(fork, want.clone(), "{name}: fork {k} diverged");
+                        let full = fingerprint(&mut reused);
+                        prop_assert_eq!(full, want, "{name}: reseed {k} diverged");
                     }
-                    scratch.advance_s(0.05);
-                    fresh.advance_s(0.05);
-                    prop_assert_eq!(
-                        fingerprint(&mut scratch),
-                        fingerprint(&mut fresh),
-                        "fork {k} diverged"
-                    );
                 }
             }
         }
@@ -969,7 +983,7 @@ mod engine_tests {
             // makes the scratch node diverge from a true restore. (The
             // production surface cannot do this — `msr_mut_unmarked` is a
             // test-only escape hatch.)
-            let (snap, cfg) = warm_image();
+            let (snap, cfg) = warm_image(NodeConfig::paper_default());
             let mut scratch = Node::new(cfg.clone());
             scratch.restore(&snap);
             scratch.sockets[0].msr_mut_unmarked().store(

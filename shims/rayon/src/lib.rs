@@ -4,7 +4,7 @@
 //! Surface: `slice.par_iter()` / `vec.par_iter()` with
 //! `map`/`enumerate`/`collect`/`sum` ([`IndexedParallelIterator`]), plus
 //! [`scope`], [`join`], and explicit [`ThreadPool`]s with
-//! [`ThreadPool::install`] for benches that pin a pool size. The global
+//! [`ThreadPool::install`] for callers that pin a pool size. The global
 //! pool is lazily created and honors `RAYON_NUM_THREADS`.
 //!
 //! Determinism contract: terminal operations deliver results **in index

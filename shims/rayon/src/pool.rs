@@ -11,7 +11,7 @@
 //! The global pool is created lazily on first use; its size comes from
 //! `RAYON_NUM_THREADS` (a positive integer), falling back to
 //! `available_parallelism`. Explicit pools ([`ThreadPool::new`]) exist for
-//! benches and tests that need to compare sizes within one process;
+//! tests that need to compare sizes within one process;
 //! [`ThreadPool::install`] moves a closure onto such a pool so every
 //! `par_iter`/[`scope`]/[`join`] it performs runs there.
 //!

@@ -2,10 +2,19 @@
 //! `--fidelity analytic` output must be byte-identical at any `--jobs`
 //! value, any worker-pool width, and either `--warm-start` setting — on
 //! both platforms — and the spot-check sample it embeds must match a
-//! full-fidelity run of the same points exactly.
+//! full-fidelity run of the same points exactly. The tier's reason to
+//! exist is pinned here too: a closed-form point costs at least 100x less
+//! than a simulated one.
 
+use std::hint::black_box;
 use std::process::Command;
+use std::time::Instant;
 
+use haswell_survey::experiments::table4;
+use haswell_survey::Fidelity;
+use hsw_analytic::{AnalyticModel, OperatingPoint};
+use hsw_exec::WorkloadProfile;
+use hsw_hwspec::{EpbClass, NodeSpec};
 use serde_json::Value;
 
 /// Run the `survey` binary with `args` and return the JSON bytes it wrote.
@@ -156,4 +165,40 @@ fn embedded_spot_checks_equal_a_full_fidelity_run_of_the_same_points() {
             "spot-checked column {index} diverges from the quick-fidelity run"
         );
     }
+}
+
+#[test]
+fn surrogate_answers_a_table4_point_at_least_100x_cheaper_than_the_simulator() {
+    // The full simulator's warm path over Table IV: one shared bring-up,
+    // six forked columns.
+    let t0 = Instant::now();
+    let full = table4::run_seeded(Fidelity::Quick, 7);
+    let full_s = t0.elapsed().as_secs_f64() / full.points.len() as f64;
+
+    // The closed form over the same six columns, repeated to resolve it.
+    let model = AnalyticModel::from_node_spec(&NodeSpec::paper_test_node(), true);
+    let fs = WorkloadProfile::firestarter();
+    let settings = table4::table4_settings();
+    let reps = 50;
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        for &setting in &settings {
+            black_box(model.predict(&OperatingPoint {
+                profile: &fs,
+                setting,
+                epb: EpbClass::Balanced,
+                turbo_enabled: true,
+                active_cores: 12,
+                smt: true,
+            }));
+        }
+    }
+    let sur_s = t0.elapsed().as_secs_f64() / (reps * settings.len()) as f64;
+
+    let speedup = full_s / sur_s.max(1e-12);
+    assert!(
+        speedup >= 100.0,
+        "surrogate speedup {speedup:.0}x < 100x \
+         (full {full_s:.4} s/point, surrogate {sur_s:.9} s/point)"
+    );
 }

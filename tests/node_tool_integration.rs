@@ -97,10 +97,11 @@ fn epb_programming_changes_uncore_behavior_end_to_end() {
     let s0 = pc.sample(&node);
     node.advance_s(0.5);
     let s1 = pc.sample(&node);
-    let balanced_unc = pc.derive(&s0, &s1).uncore_ghz;
+    let balanced = pc.derive(&s0, &s1);
     assert!(
-        (balanced_unc - 1.6).abs() < 0.1,
-        "balanced: {balanced_unc:.2}"
+        (balanced.uncore_ghz - 1.6).abs() < 0.1,
+        "balanced: {:.2}",
+        balanced.uncore_ghz
     );
 
     node.set_epb_all(EpbClass::Performance);
@@ -108,8 +109,20 @@ fn epb_programming_changes_uncore_behavior_end_to_end() {
     let s2 = pc.sample(&node);
     node.advance_s(0.5);
     let s3 = pc.sample(&node);
-    let perf_unc = pc.derive(&s2, &s3).uncore_ghz;
-    assert!((perf_unc - 3.0).abs() < 0.1, "performance: {perf_unc:.2}");
+    let perf = pc.derive(&s2, &s3);
+    // The UFS ablation: the Table III schedule exists to save the power a
+    // pinned uncore draws for a core that gains nothing from it.
+    assert!(
+        perf.pkg_w > balanced.pkg_w + 1.0,
+        "pinned uncore {:.1} W vs UFS schedule {:.1} W",
+        perf.pkg_w,
+        balanced.pkg_w
+    );
+    assert!(
+        (perf.uncore_ghz - 3.0).abs() < 0.1,
+        "performance: {:.2}",
+        perf.uncore_ghz
+    );
 }
 
 #[test]
